@@ -68,9 +68,7 @@ func instrumentReplPrimary(reg *obs.Registry, p *repl.Primary) {
 	reg.GaugeFunc(MetricReplAckLagRecords, func() float64 {
 		worst := int64(0)
 		for _, l := range p.Stats().Links {
-			if l.SyncEligible && l.AckLagRecords > worst {
-				worst = l.AckLagRecords
-			}
+			worst = max(worst, l.AckLagRecords)
 		}
 		return float64(worst)
 	})

@@ -84,7 +84,7 @@ const (
 	// SiteReplPromote fires at the start of Engine.Promote, before the
 	// follower transport is stopped or the epoch bumped.
 	SiteReplPromote = "repl.promote"
-	// SiteReplEpochCheck fires wherever a v3 epoch stamp is compared
+	// SiteReplEpochCheck fires wherever an epoch stamp is compared
 	// against local state: the primary's handshake check and the
 	// follower's per-message ObserveEpoch.
 	SiteReplEpochCheck = "repl.epoch.check"

@@ -35,15 +35,15 @@ type Callbacks struct {
 	// Frontier reports the primary's durable frontier, refreshed by every
 	// record and heartbeat. Optional.
 	Frontier func(gen, records, bytes uint64)
-	// Ack returns the follower's durably-applied position, sent back to a
-	// v2+ primary after every applied message so it can release quorum
+	// Ack returns the follower's durably-applied position, sent back to
+	// the primary after every applied message so it can release quorum
 	// waits. Gen 0 suppresses the ack. Optional; nil followers never ack
 	// and thus never count toward a sync quorum.
 	Ack func() (gen, records, bytes uint64)
 	// Epoch returns the follower's fencing epoch, carried in Hello on every
-	// (re)connect (v3 links only). Optional; nil sends 0.
+	// (re)connect. Optional; nil sends 0.
 	Epoch func() uint64
-	// ObserveEpoch delivers every epoch the primary stamps on a v3 stream
+	// ObserveEpoch delivers every epoch the primary stamps on the stream
 	// (Welcome, then each Record and Heartbeat). Returning an error severs
 	// the link — this is how a follower refuses to follow a stale, deposed
 	// primary. Optional.
@@ -70,9 +70,6 @@ type Config struct {
 	// 0 derives it from the primary's advertised heartbeat interval
 	// (3× HeartbeatMS, floored at 1s).
 	StallTimeout time.Duration
-	// Version pins the protocol version offered in Hello (0: ProtoVersion).
-	// Tests pin 1 to exercise the ack-less downgrade path.
-	Version uint64
 	// Jitter returns a value in [0,1) used to spread reconnect sleeps;
 	// nil uses math/rand. Injectable for deterministic backoff tests.
 	Jitter func() float64
@@ -125,9 +122,6 @@ func New(cfg Config, cb Callbacks) *Client {
 	}
 	if cfg.BackoffMax <= 0 {
 		cfg.BackoffMax = 2 * time.Second
-	}
-	if cfg.Version == 0 {
-		cfg.Version = ProtoVersion
 	}
 	if cfg.Jitter == nil {
 		cfg.Jitter = rand.Float64
@@ -207,7 +201,7 @@ func (c *Client) session(ctx context.Context) (progress bool, err error) {
 		epoch = c.cb.Epoch()
 	}
 	_ = conn.SetWriteDeadline(time.Now().Add(c.cfg.HandshakeTimeout))
-	if err := writeMsg(conn, MsgHello, encodeHello(Hello{Version: c.cfg.Version, Gen: gen, Records: records, Epoch: epoch})); err != nil {
+	if err := writeMsg(conn, MsgHello, encodeHello(Hello{Gen: gen, Records: records, Epoch: epoch})); err != nil {
 		return false, fmt.Errorf("send hello: %w", err)
 	}
 	_ = conn.SetReadDeadline(time.Now().Add(c.cfg.HandshakeTimeout))
@@ -225,11 +219,7 @@ func (c *Client) session(ctx context.Context) (progress bool, err error) {
 	if err != nil {
 		return false, err
 	}
-	if welcome.Version < MinProtoVersion || welcome.Version > c.cfg.Version {
-		return false, fmt.Errorf("primary speaks protocol version %d (want %d..%d)", welcome.Version, MinProtoVersion, c.cfg.Version)
-	}
-	version := welcome.Version
-	if err := c.observeEpoch(version, welcome.Epoch); err != nil {
+	if err := c.observeEpoch(welcome.Epoch); err != nil {
 		return false, err
 	}
 	// Rolling stall deadline: a silently dead primary must look like a
@@ -237,11 +227,7 @@ func (c *Client) session(ctx context.Context) (progress bool, err error) {
 	// links, so any healthy stream refreshes the deadline continuously.
 	stall := c.cfg.StallTimeout
 	if stall <= 0 {
-		hbMS := welcome.HeartbeatMS
-		if hbMS == 0 { // v1 primary: no advertised interval, assume 500ms
-			hbMS = 500
-		}
-		stall = 3 * time.Duration(hbMS) * time.Millisecond
+		stall = 3 * time.Duration(welcome.HeartbeatMS) * time.Millisecond
 		if stall < time.Second {
 			stall = time.Second
 		}
@@ -253,7 +239,7 @@ func (c *Client) session(ctx context.Context) (progress bool, err error) {
 	// Opening ack: tell the primary where our durable state already stands
 	// so a caught-up reconnect releases quorum waits immediately.
 	lastAck := position{}
-	if err := c.maybeAck(conn, version, &lastAck); err != nil {
+	if err := c.maybeAck(conn, &lastAck); err != nil {
 		return false, err
 	}
 
@@ -309,18 +295,18 @@ func (c *Client) session(ctx context.Context) (progress bool, err error) {
 			inSnap, awaitSnap = false, false
 			expect = position{gen: snapGen}
 			progress = true
-			if err := c.maybeAck(conn, version, &lastAck); err != nil {
+			if err := c.maybeAck(conn, &lastAck); err != nil {
 				return progress, err
 			}
 		case MsgRecord:
 			if inSnap || awaitSnap {
 				return progress, &ProtocolError{Msg: typ, Detail: "record during snapshot transfer"}
 			}
-			rm, err := decodeRecord(body, version)
+			rm, err := decodeRecord(body)
 			if err != nil {
 				return progress, err
 			}
-			if err := c.observeEpoch(version, rm.Epoch); err != nil {
+			if err := c.observeEpoch(rm.Epoch); err != nil {
 				return progress, err
 			}
 			switch {
@@ -343,15 +329,15 @@ func (c *Client) session(ctx context.Context) (progress bool, err error) {
 				c.cb.Frontier(rm.FrontierGen, rm.FrontierRecords, rm.FrontierBytes)
 			}
 			progress = true
-			if err := c.maybeAck(conn, version, &lastAck); err != nil {
+			if err := c.maybeAck(conn, &lastAck); err != nil {
 				return progress, err
 			}
 		case MsgHeartbeat:
-			hb, err := decodeHeartbeat(body, version)
+			hb, err := decodeHeartbeat(body)
 			if err != nil {
 				return progress, err
 			}
-			if err := c.observeEpoch(version, hb.Epoch); err != nil {
+			if err := c.observeEpoch(hb.Epoch); err != nil {
 				return progress, err
 			}
 			if c.cb.Frontier != nil {
@@ -359,7 +345,7 @@ func (c *Client) session(ctx context.Context) (progress bool, err error) {
 			}
 			// An interval-fsync follower's durable frontier advances between
 			// records; heartbeats give those advances a ride back.
-			if err := c.maybeAck(conn, version, &lastAck); err != nil {
+			if err := c.maybeAck(conn, &lastAck); err != nil {
 				return progress, err
 			}
 		case MsgError:
@@ -370,11 +356,11 @@ func (c *Client) session(ctx context.Context) (progress bool, err error) {
 	}
 }
 
-// observeEpoch forwards a v3 stream's epoch stamp to the follower engine.
+// observeEpoch forwards the stream's epoch stamp to the follower engine.
 // An error severs the session before the message it rode in on is applied —
 // a stale primary's records must never reach the follower's WAL.
-func (c *Client) observeEpoch(version, epoch uint64) error {
-	if version < 3 || c.cb.ObserveEpoch == nil {
+func (c *Client) observeEpoch(epoch uint64) error {
+	if c.cb.ObserveEpoch == nil {
 		return nil
 	}
 	if err := c.cb.ObserveEpoch(epoch); err != nil {
@@ -383,13 +369,13 @@ func (c *Client) observeEpoch(version, epoch uint64) error {
 	return nil
 }
 
-// maybeAck reports the follower's durable position to a v2+ primary,
+// maybeAck reports the follower's durable position to the primary,
 // skipping no-ops (nil callback, unbootstrapped follower, position
 // unchanged since the last ack). Fires the repl.ack.send fault site; an
 // injected ErrInjectCorrupt sends the frame genuinely corrupted for the
 // primary's checksums to catch.
-func (c *Client) maybeAck(conn net.Conn, version uint64, last *position) error {
-	if version < 2 || c.cb.Ack == nil {
+func (c *Client) maybeAck(conn net.Conn, last *position) error {
+	if c.cb.Ack == nil {
 		return nil
 	}
 	gen, records, bytes := c.cb.Ack()

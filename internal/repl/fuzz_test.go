@@ -25,34 +25,36 @@ func FuzzReplFrameDecode(f *testing.F) {
 		}
 		return buf.Bytes()
 	}
-	f.Add(seed(MsgHello, encodeHello(Hello{Version: ProtoVersion, Gen: 3, Records: 17})))
-	f.Add(seed(MsgWelcome, encodeWelcome(Welcome{Version: ProtoVersion, Snapshot: true, Gen: 4})))
+	f.Add(seed(MsgHello, encodeHello(Hello{Gen: 3, Records: 17})))
+	f.Add(seed(MsgWelcome, encodeWelcome(Welcome{Snapshot: true, Gen: 4})))
 	f.Add(seed(MsgSnapBegin, encodeSnapBegin(SnapBegin{Gen: 4, Size: 1024})))
 	f.Add(seed(MsgSnapChunk, bytes.Repeat([]byte("s"), 64)))
 	f.Add(seed(MsgSnapEnd, nil))
-	f.Add(seed(MsgRecord, encodeRecord(RecordMsg{Gen: 4, Seq: 9, FrontierGen: 4, FrontierRecords: 10, FrontierBytes: 512, Payload: []byte("record")}, ProtoVersion)))
-	f.Add(seed(MsgHeartbeat, encodeHeartbeat(Heartbeat{FrontierGen: 4, FrontierRecords: 10, FrontierBytes: 512}, ProtoVersion)))
+	f.Add(seed(MsgRecord, encodeRecord(RecordMsg{Gen: 4, Seq: 9, FrontierGen: 4, FrontierRecords: 10, FrontierBytes: 512, Payload: []byte("record")})))
+	f.Add(seed(MsgHeartbeat, encodeHeartbeat(Heartbeat{FrontierGen: 4, FrontierRecords: 10, FrontierBytes: 512})))
 	f.Add(seed(MsgError, []byte("injected")))
 	f.Add(seed(MsgAck, encodeAck(Ack{Gen: 4, Records: 10, Bytes: 512})))
 	f.Add(seed(MsgAck, encodeAck(Ack{})))
-	// v1 hello (old follower) and v2 welcome riding the heartbeat field.
-	f.Add(seed(MsgHello, encodeHello(Hello{Version: 1, Gen: 2, Records: 5})))
-	f.Add(seed(MsgWelcome, encodeWelcome(Welcome{Version: 2, Gen: 4, Records: 9, HeartbeatMS: 500})))
-	// v3 epoch-stamped frames: hello and welcome carry the epoch
-	// self-describingly; record and heartbeat carry it only under v3
-	// framing, and the same structs framed at v2 seed the downgrade path.
-	f.Add(seed(MsgHello, encodeHello(Hello{Version: ProtoVersion, Gen: 3, Records: 17, Epoch: 7})))
-	f.Add(seed(MsgWelcome, encodeWelcome(Welcome{Version: ProtoVersion, Gen: 4, Records: 9, HeartbeatMS: 500, Epoch: 7})))
-	f.Add(seed(MsgRecord, encodeRecord(RecordMsg{Gen: 4, Seq: 9, FrontierGen: 4, FrontierRecords: 10, FrontierBytes: 512, Epoch: 7, Payload: []byte("record")}, ProtoVersion)))
-	f.Add(seed(MsgHeartbeat, encodeHeartbeat(Heartbeat{FrontierGen: 4, FrontierRecords: 10, FrontierBytes: 512, Epoch: 7}, ProtoVersion)))
-	f.Add(seed(MsgRecord, encodeRecord(RecordMsg{Gen: 4, Seq: 9, FrontierGen: 4, FrontierRecords: 10, FrontierBytes: 512, Payload: []byte("record")}, 2)))
-	f.Add(seed(MsgHeartbeat, encodeHeartbeat(Heartbeat{FrontierGen: 4, FrontierRecords: 10, FrontierBytes: 512}, 2)))
+	// A PRCREPL1 hello and a version-2 welcome, byte for byte as the
+	// retired protocols sent them: both decoders must refuse them.
+	f.Add(seed(MsgHello, legacyHelloV1))
+	f.Add(seed(MsgWelcome, legacyWelcomeV2))
+	// Epoch-stamped frames.
+	f.Add(seed(MsgHello, encodeHello(Hello{Gen: 3, Records: 17, Epoch: 7})))
+	f.Add(seed(MsgWelcome, encodeWelcome(Welcome{Gen: 4, Records: 9, HeartbeatMS: 500, Epoch: 7})))
+	f.Add(seed(MsgRecord, encodeRecord(RecordMsg{Gen: 4, Seq: 9, FrontierGen: 4, FrontierRecords: 10, FrontierBytes: 512, Epoch: 7, Payload: []byte("record")})))
+	f.Add(seed(MsgHeartbeat, encodeHeartbeat(Heartbeat{FrontierGen: 4, FrontierRecords: 10, FrontierBytes: 512, Epoch: 7})))
+	// Version-2 record and heartbeat bodies, which carry no epoch: the
+	// record's first payload byte reads as the epoch, and the heartbeat is
+	// one field short.
+	f.Add(seed(MsgRecord, legacyRecordV2))
+	f.Add(seed(MsgHeartbeat, legacyHeartbeatV2))
 	// Ack interleaved with a heartbeat: exact boundary consumption both ways.
-	f.Add(append(seed(MsgAck, encodeAck(Ack{Gen: 1, Records: 1, Bytes: 64})), seed(MsgHeartbeat, encodeHeartbeat(Heartbeat{FrontierGen: 1, FrontierRecords: 2}, ProtoVersion))...))
+	f.Add(append(seed(MsgAck, encodeAck(Ack{Gen: 1, Records: 1, Bytes: 64})), seed(MsgHeartbeat, encodeHeartbeat(Heartbeat{FrontierGen: 1, FrontierRecords: 2}))...))
 	// Two frames back to back: the reader must consume exact boundaries.
-	f.Add(append(seed(MsgSnapEnd, nil), seed(MsgHeartbeat, encodeHeartbeat(Heartbeat{}, ProtoVersion))...))
+	f.Add(append(seed(MsgSnapEnd, nil), seed(MsgHeartbeat, encodeHeartbeat(Heartbeat{}))...))
 	// Corrupt variants: flipped payload byte, flipped length, truncation.
-	good := seed(MsgRecord, encodeRecord(RecordMsg{Gen: 1, Seq: 0, Payload: []byte("x")}, ProtoVersion))
+	good := seed(MsgRecord, encodeRecord(RecordMsg{Gen: 1, Seq: 0, Payload: []byte("x")}))
 	flip := append([]byte(nil), good...)
 	flip[len(flip)-1] ^= 0x40
 	f.Add(flip)
@@ -89,16 +91,9 @@ func FuzzReplFrameDecode(f *testing.F) {
 			case MsgSnapBegin:
 				_, derr = decodeSnapBegin(body)
 			case MsgRecord:
-				// Record and heartbeat framing is version-dependent (the
-				// epoch rides only on v3 links), so both interpretations
-				// must hold the no-panic / attributed-error invariant.
-				_, e2 := decodeRecord(body, 2)
-				_, e3 := decodeRecord(body, ProtoVersion)
-				derr = errors.Join(e2, e3)
+				_, derr = decodeRecord(body)
 			case MsgHeartbeat:
-				_, e2 := decodeHeartbeat(body, 2)
-				_, e3 := decodeHeartbeat(body, ProtoVersion)
-				derr = errors.Join(e2, e3)
+				_, derr = decodeHeartbeat(body)
 			case MsgAck:
 				_, derr = decodeAck(body)
 			case MsgSnapChunk, MsgSnapEnd, MsgError:

@@ -2,10 +2,9 @@ package repl
 
 // Quorum unit tests: the commit gate (WaitCommitted) against real links —
 // released by follower acks, failed with ErrQuorumLost when nobody acks,
-// degraded-sticky-then-healed with DegradeToAsync, and negotiated down to
-// async for protocol-v1 followers. Plus the follower-side link robustness
-// satellites: stall detection on a frozen link and injectable reconnect
-// jitter.
+// degraded-sticky-then-healed with DegradeToAsync. Plus the follower-side
+// link robustness satellites: stall detection on a frozen link and
+// injectable reconnect jitter.
 
 import (
 	"context"
@@ -31,7 +30,7 @@ func ackCallbacks(col *collector) Callbacks {
 	return cb
 }
 
-// startAckFollower runs an acking (v2) follower client against addr,
+// startAckFollower runs an acking follower client against addr,
 // returning the client and a stop func.
 func startAckFollower(t *testing.T, addr string, col *collector) (*Client, func()) {
 	t.Helper()
@@ -95,8 +94,7 @@ func TestQuorumWaitReleasedByAck(t *testing.T) {
 	// The link's ack position is visible in primary stats.
 	waitFor(t, "link ack stats", func() bool {
 		st := p.Stats()
-		return len(st.Links) == 1 && st.Links[0].SyncEligible &&
-			st.Links[0].AckGen == fr.Gen && st.Links[0].AckRecords >= uint64(fr.Records) &&
+		return len(st.Links) == 1 && st.Links[0].AckGen == fr.Gen && st.Links[0].AckRecords >= uint64(fr.Records) &&
 			st.Links[0].AckLagRecords == 0 && st.Links[0].SecsSinceAck >= 0
 	})
 	if st := p.Stats(); st.QuorumWaits == 0 || st.QuorumTimeouts != 0 || st.Degraded {
@@ -126,6 +124,64 @@ func TestQuorumLostWithoutFollower(t *testing.T) {
 	}
 	if st := p.Stats(); st.QuorumTimeouts != 1 || st.Degraded {
 		t.Fatalf("after quorum loss without degrade: %+v", st)
+	}
+}
+
+// TestV1FollowerNegotiatesDownToAsync: a PRCREPL1 follower no longer
+// negotiates down to an unfenced, never-acking async link. The primary
+// refuses it at the handshake, so a sync quorum over nothing but such a
+// follower still fails with ErrQuorumLost; a PRCREPL3 follower that then
+// connects counts toward the quorum with no eligibility check at all.
+func TestV1FollowerNegotiatesDownToAsync(t *testing.T) {
+	s := newTestStore(t)
+	for i := 0; i < 4; i++ {
+		if err := s.Append(testRecord(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p := NewPrimary(s, PrimaryConfig{
+		HeartbeatEvery: 20 * time.Millisecond,
+		SyncReplicas:   1,
+		AckTimeout:     50 * time.Millisecond,
+		Logger:         quietLogger(),
+	})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() { _ = p.Serve(ln) }()
+	t.Cleanup(func() { _ = p.Close() })
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := writeMsg(conn, MsgHello, legacyHelloV1); err != nil {
+		t.Fatal(err)
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if typ, body, err := readMsg(conn); err != nil || typ != MsgError {
+		t.Fatalf("v1 hello answered with %s %q (%v), want an error", typ, body, err)
+	}
+	if st := p.Stats(); st.Handshakes != 0 || len(st.Links) != 0 {
+		t.Fatalf("refused v1 follower left a link behind: %+v", st)
+	}
+
+	fr := s.Frontier()
+	if err := p.WaitCommitted(fr.Gen, fr.Records); !errors.Is(err, ErrQuorumLost) {
+		t.Fatalf("quorum with only a refused v1 follower: want ErrQuorumLost, got %v", err)
+	}
+
+	col := &collector{}
+	_, stop := startAckFollower(t, ln.Addr().String(), col)
+	defer stop()
+	waitFor(t, "v3 follower ack", func() bool {
+		st := p.Stats()
+		return len(st.Links) == 1 && st.Links[0].AckGen == fr.Gen && st.Links[0].AckRecords >= uint64(fr.Records)
+	})
+	if err := p.WaitCommitted(fr.Gen, fr.Records); err != nil {
+		t.Fatalf("quorum over an acking v3 follower: %v", err)
 	}
 }
 
@@ -178,64 +234,6 @@ func TestDegradeToAsyncStickyAndHeals(t *testing.T) {
 	waitFor(t, "degraded flag to heal", func() bool { return !p.Degraded() })
 	if err := p.WaitCommitted(fr.Gen, fr.Records); err != nil {
 		t.Fatalf("commit after heal: %v", err)
-	}
-}
-
-// TestV1FollowerNegotiatesDownToAsync pins a follower to protocol version
-// 1 against a v2 primary: the stream must work end to end (records apply),
-// but the link never acks, is not sync-eligible, and cannot satisfy a
-// quorum — exactly how a pre-upgrade follower behaves during a rolling
-// deploy.
-func TestV1FollowerNegotiatesDownToAsync(t *testing.T) {
-	s := newTestStore(t)
-	for i := 0; i < 4; i++ {
-		if err := s.Append(testRecord(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	p := NewPrimary(s, PrimaryConfig{
-		HeartbeatEvery: 20 * time.Millisecond,
-		SyncReplicas:   1,
-		AckTimeout:     50 * time.Millisecond,
-		Logger:         quietLogger(),
-	})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() { _ = p.Serve(ln) }()
-	t.Cleanup(func() { _ = p.Close() })
-
-	col := &collector{}
-	// Version 1, with an Ack callback wired: the version gate alone must
-	// suppress acking.
-	cb := ackCallbacks(col)
-	client := New(Config{Addr: ln.Addr().String(), Version: 1, BackoffMin: time.Millisecond, Logger: quietLogger()}, cb)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	done := make(chan struct{})
-	go func() { defer close(done); client.Run(ctx) }()
-	defer func() { cancel(); <-done }()
-
-	waitFor(t, "v1 catch-up", atLeast(col, 4))
-	for i, rec := range col.recorded() {
-		if want := testRecord(i); rec.Alias != want.Alias {
-			t.Fatalf("v1 record %d diverged: %q", i, rec.Alias)
-		}
-	}
-	if st := client.Stats(); st.AcksSent != 0 {
-		t.Fatalf("v1 follower sent %d acks; the downgrade must suppress them", st.AcksSent)
-	}
-	waitFor(t, "v1 link stats", func() bool { return len(p.Stats().Links) == 1 })
-	if l := p.Stats().Links[0]; l.Version != 1 || l.SyncEligible || l.SecsSinceAck != -1 {
-		t.Fatalf("v1 link state: %+v", l)
-	}
-
-	// A v1-only fleet can never satisfy a sync quorum: the gate must time
-	// out with the typed error rather than count the async link.
-	fr := s.Frontier()
-	if err := p.WaitCommitted(fr.Gen, fr.Records); !errors.Is(err, ErrQuorumLost) {
-		t.Fatalf("quorum over v1-only links: want ErrQuorumLost, got %v", err)
 	}
 }
 

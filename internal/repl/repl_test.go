@@ -3,12 +3,15 @@ package repl
 import (
 	"bytes"
 	"context"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
 	"log"
 	"net"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -23,8 +26,8 @@ func quietLogger() *log.Logger { return log.New(io.Discard, "", 0) }
 
 func TestProtoRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	hello := Hello{Version: ProtoVersion, Gen: 7, Records: 900, Epoch: 4}
-	welcome := Welcome{Version: ProtoVersion, Snapshot: true, Gen: 8, Records: 0, Epoch: 4}
+	hello := Hello{Gen: 7, Records: 900, Epoch: 4}
+	welcome := Welcome{Snapshot: true, Gen: 8, Records: 0, HeartbeatMS: 500, Epoch: 4}
 	sb := SnapBegin{Gen: 8, Size: 4096}
 	rec := RecordMsg{Gen: 8, Seq: 41, FrontierGen: 8, FrontierRecords: 100, FrontierBytes: 5000, Epoch: 4, Payload: []byte("payload-bytes")}
 	hb := Heartbeat{FrontierGen: 8, FrontierRecords: 100, FrontierBytes: 5000, Epoch: 4}
@@ -38,8 +41,8 @@ func TestProtoRoundTrip(t *testing.T) {
 		{MsgSnapBegin, encodeSnapBegin(sb)},
 		{MsgSnapChunk, []byte("chunk")},
 		{MsgSnapEnd, nil},
-		{MsgRecord, encodeRecord(rec, ProtoVersion)},
-		{MsgHeartbeat, encodeHeartbeat(hb, ProtoVersion)},
+		{MsgRecord, encodeRecord(rec)},
+		{MsgHeartbeat, encodeHeartbeat(hb)},
 		{MsgError, []byte("boom")},
 	} {
 		if err := writeMsg(&buf, m.typ, m.body); err != nil {
@@ -71,7 +74,7 @@ func TestProtoRoundTrip(t *testing.T) {
 	if typ, body, err := readMsg(&buf); err != nil || typ != MsgRecord {
 		t.Fatalf("read record: %v (%s)", err, typ)
 	} else {
-		got, err := decodeRecord(body, ProtoVersion)
+		got, err := decodeRecord(body)
 		if err != nil {
 			t.Fatalf("record decode: %v", err)
 		}
@@ -83,7 +86,7 @@ func TestProtoRoundTrip(t *testing.T) {
 	}
 	if typ, body, err := readMsg(&buf); err != nil || typ != MsgHeartbeat {
 		t.Fatalf("read heartbeat: %v (%s)", err, typ)
-	} else if got, err := decodeHeartbeat(body, ProtoVersion); err != nil || got != hb {
+	} else if got, err := decodeHeartbeat(body); err != nil || got != hb {
 		t.Fatalf("heartbeat round trip: %+v, %v", got, err)
 	}
 	if typ, body, err := readMsg(&buf); err != nil || typ != MsgError || string(body) != "boom" {
@@ -96,7 +99,7 @@ func TestProtoRoundTrip(t *testing.T) {
 // decode), never a silent success with different content.
 func TestProtoCorruptionAttributed(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writeMsg(&buf, MsgRecord, encodeRecord(RecordMsg{Gen: 3, Seq: 9, Payload: []byte("precis")}, ProtoVersion)); err != nil {
+	if err := writeMsg(&buf, MsgRecord, encodeRecord(RecordMsg{Gen: 3, Seq: 9, Payload: []byte("precis")})); err != nil {
 		t.Fatal(err)
 	}
 	frame := buf.Bytes()
@@ -121,7 +124,7 @@ func TestProtoCorruptionAttributed(t *testing.T) {
 
 func TestReadMsgTruncation(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writeMsg(&buf, MsgHeartbeat, encodeHeartbeat(Heartbeat{FrontierGen: 1}, ProtoVersion)); err != nil {
+	if err := writeMsg(&buf, MsgHeartbeat, encodeHeartbeat(Heartbeat{FrontierGen: 1})); err != nil {
 		t.Fatal(err)
 	}
 	frame := buf.Bytes()
@@ -137,51 +140,210 @@ func TestReadMsgTruncation(t *testing.T) {
 	}
 }
 
-// TestProtoEpochVersionGating pins the wire shapes across the v2/v3
-// boundary: a v2 frame carries no epoch and decodes to epoch 0 at either
-// version's framing, while a v3 frame decoded with v2 framing is rejected
-// (the epoch bytes would otherwise be silently folded into the payload).
-func TestProtoEpochVersionGating(t *testing.T) {
-	rec := RecordMsg{Gen: 2, Seq: 5, FrontierGen: 2, FrontierRecords: 6, FrontierBytes: 99, Epoch: 9, Payload: []byte("p")}
-	v2 := encodeRecord(rec, 2)
-	got, err := decodeRecord(v2, 2)
-	if err != nil {
-		t.Fatalf("v2 record decode: %v", err)
+// TestProtoWireBytes pins the exact encoding of every handshake and stream
+// message, so a version-3 peer from an older build — one that still
+// offered to negotiate down, but spoke these same bytes at version 3 —
+// interoperates.
+func TestProtoWireBytes(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		body []byte
+		hex  string
+	}{
+		{"hello", encodeHello(Hello{Gen: 7, Records: 900, Epoch: 4}), "5052435245504c330307840704"},
+		{"welcome", encodeWelcome(Welcome{Snapshot: true, Gen: 8, HeartbeatMS: 500, Epoch: 4}), "03010800f40304"},
+		{"record", encodeRecord(RecordMsg{Gen: 8, Seq: 41, FrontierGen: 8, FrontierRecords: 300, FrontierBytes: 5000, Epoch: 4, Payload: []byte("payload")}), "082908ac028827047061796c6f6164"},
+		{"heartbeat", encodeHeartbeat(Heartbeat{FrontierGen: 8, FrontierRecords: 300, FrontierBytes: 5000, Epoch: 4}), "08ac02882704"},
+		{"ack", encodeAck(Ack{Gen: 8, Records: 300, Bytes: 5000}), "08ac028827"},
+	} {
+		if got := hex.EncodeToString(tc.body); got != tc.hex {
+			t.Errorf("%s encodes as %s, want %s", tc.name, got, tc.hex)
+		}
 	}
-	if got.Epoch != 0 || !bytes.Equal(got.Payload, rec.Payload) {
-		t.Fatalf("v2 record carried an epoch: %+v", got)
+	// The frame header around a body is unchanged too.
+	var buf bytes.Buffer
+	if err := writeMsg(&buf, MsgHeartbeat, encodeHeartbeat(Heartbeat{FrontierGen: 8, FrontierRecords: 300, FrontierBytes: 5000, Epoch: 4})); err != nil {
+		t.Fatal(err)
 	}
-	// v2 bytes under v3 framing: the first payload byte is consumed as the
-	// epoch uvarint, so the payload must differ — never silently equal.
-	if got3, err := decodeRecord(v2, ProtoVersion); err == nil && bytes.Equal(got3.Payload, rec.Payload) && got3.Epoch == rec.Epoch {
-		t.Fatalf("v2 record bytes decoded identically under v3 framing: %+v", got3)
-	}
-
-	hb := Heartbeat{FrontierGen: 2, FrontierRecords: 6, FrontierBytes: 99, Epoch: 9}
-	if got, err := decodeHeartbeat(encodeHeartbeat(hb, 2), 2); err != nil || got.Epoch != 0 {
-		t.Fatalf("v2 heartbeat: %+v, %v", got, err)
-	}
-	// A v3 heartbeat decoded with v2 framing has a trailing epoch uvarint.
-	if _, err := decodeHeartbeat(encodeHeartbeat(hb, ProtoVersion), 2); err == nil {
-		t.Fatal("v3 heartbeat accepted under v2 framing despite trailing epoch bytes")
-	}
-
-	// Hello and Welcome are self-describing: the epoch field rides only
-	// when the encoded version is >= 3, and v2 frames keep the v2 magic.
-	h2 := Hello{Version: 2, Gen: 1, Records: 2, Epoch: 9}
-	if got, err := decodeHello(encodeHello(h2)); err != nil || got.Epoch != 0 {
-		t.Fatalf("v2 hello grew an epoch: %+v, %v", got, err)
-	}
-	w2 := Welcome{Version: 2, Gen: 1, HeartbeatMS: 500, Epoch: 9}
-	if got, err := decodeWelcome(encodeWelcome(w2)); err != nil || got.Epoch != 0 {
-		t.Fatalf("v2 welcome grew an epoch: %+v, %v", got, err)
+	if got, want := hex.EncodeToString(buf.Bytes()), "070000000df367518ec098580708ac02882704"; got != want {
+		t.Errorf("framed heartbeat is %s, want %s", got, want)
 	}
 }
 
-// TestV2ClientNegotiatesDown runs a follower that pins protocol version 2
-// against a v3 primary: the primary must answer at version 2, never stamp
-// epochs, and still stream to convergence — old followers keep working
-// across a primary upgrade.
+// TestProtoEpochVersionGating: the fencing epoch is no longer gated on a
+// negotiated version. Every Hello, Welcome, Record and Heartbeat carries
+// it, even at epoch 0, and bytes framed the version-2 way (no epoch) never
+// decode as the message they meant.
+func TestProtoEpochVersionGating(t *testing.T) {
+	hb := Heartbeat{FrontierGen: 4, FrontierRecords: 10, FrontierBytes: 512}
+	if got, want := encodeHeartbeat(hb), append(append([]byte(nil), legacyHeartbeatV2...), 0); !bytes.Equal(got, want) {
+		t.Fatalf("epoch-0 heartbeat is %x, want the v2 fields plus an explicit epoch %x", got, want)
+	}
+	if got, err := decodeHeartbeat(legacyHeartbeatV2); err == nil {
+		t.Fatalf("v2 heartbeat without an epoch decoded: %+v", got)
+	}
+
+	rec := RecordMsg{Gen: 4, Seq: 9, FrontierGen: 4, FrontierRecords: 10, FrontierBytes: 512, Payload: []byte("record")}
+	if got, err := decodeRecord(encodeRecord(rec)); err != nil || got.Epoch != 0 || !bytes.Equal(got.Payload, rec.Payload) {
+		t.Fatalf("epoch-0 record round trip: %+v, %v", got, err)
+	}
+	// v2 record bytes: the first payload byte is consumed as the epoch, so
+	// the payload must differ — never silently equal.
+	if got, err := decodeRecord(legacyRecordV2); err == nil && got.Epoch == 0 && bytes.Equal(got.Payload, rec.Payload) {
+		t.Fatalf("v2 record bytes decoded as the record they meant: %+v", got)
+	}
+
+	for _, h := range [][]byte{legacyHelloV1, legacyHelloV2, helloV3(2)} {
+		if got, err := decodeHello(h); err == nil {
+			t.Fatalf("hello %x decoded without an epoch check: %+v", h, got)
+		}
+	}
+	if got, err := decodeWelcome(legacyWelcomeV2); err == nil {
+		t.Fatalf("v2 welcome decoded: %+v", got)
+	}
+	if got, err := decodeHello(encodeHello(Hello{Gen: 1, Records: 2, Epoch: 9})); err != nil || got.Epoch != 9 {
+		t.Fatalf("hello lost its epoch: %+v, %v", got, err)
+	}
+	if got, err := decodeWelcome(encodeWelcome(Welcome{Gen: 1, HeartbeatMS: 500, Epoch: 9})); err != nil || got.Epoch != 9 {
+		t.Fatalf("welcome lost its epoch: %+v, %v", got, err)
+	}
+}
+
+// Bodies of the retired protocol versions 1 and 2, byte for byte as those
+// peers sent them. Version 1 and 2 frames carried no fencing epoch.
+var (
+	legacyHelloV1     = unhex("5052435245504c31010205") // PRCREPL1, v1, gen 2, records 5
+	legacyHelloV2     = unhex("5052435245504c32020205") // PRCREPL2, v2, gen 2, records 5
+	legacyWelcomeV2   = unhex("02000409f403")           // v2, resume at (4,9), heartbeat 500ms
+	legacyRecordV2    = unhex("0409040a80047265636f7264")
+	legacyHeartbeatV2 = unhex("040a8004")
+)
+
+func unhex(s string) []byte {
+	b, err := hex.DecodeString(s)
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
+// helloV3 builds a PRCREPL3 Hello body announcing an arbitrary version.
+func helloV3(version uint64) []byte {
+	return appendUvarints([]byte(Magic), version, 2, 5, 9)
+}
+
+// TestHandshakeRefusesOtherVersions: PRCREPL3 is the only protocol. The
+// primary answers any other magic or version with MsgError, before the
+// epoch check and without registering a link; the client refuses a
+// Welcome of any other version before it applies anything the primary
+// sends after it.
+func TestHandshakeRefusesOtherVersions(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		hello []byte
+	}{
+		{"PRCREPL1", legacyHelloV1},
+		{"PRCREPL2", legacyHelloV2},
+		{"PRCREPL3-v1", helloV3(1)},
+		{"PRCREPL3-v2", helloV3(2)},
+		{"PRCREPL3-v4", helloV3(4)},
+	} {
+		t.Run("primary/"+tc.name, func(t *testing.T) {
+			p, addr := startPrimary(t, newTestStore(t))
+			conn, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if err := writeMsg(conn, MsgHello, tc.hello); err != nil {
+				t.Fatal(err)
+			}
+			_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+			typ, body, err := readMsg(conn)
+			if err != nil || typ != MsgError {
+				t.Fatalf("primary answered %s %q (%v), want an error", typ, body, err)
+			}
+			// The refused Hello carried epoch 9 in the PRCREPL3 cases; it
+			// must not have deposed the epoch-0 primary either.
+			if st := p.Stats(); st.Handshakes != 0 || len(st.Links) != 0 || st.DeposedBy != 0 {
+				t.Fatalf("refused hello left state behind: %+v", st)
+			}
+		})
+	}
+
+	var (
+		snap = unhex("00")
+		rec  = encodeRecord(RecordMsg{Gen: 4, Seq: 0, Epoch: 9, Payload: []byte("x")})
+	)
+	for _, tc := range []struct {
+		name    string
+		welcome []byte
+	}{
+		{"v2", legacyWelcomeV2},
+		{"v4", appendUvarints(nil, 4, 1, 4, 0, 500, 9)},
+	} {
+		t.Run("client/"+tc.name, func(t *testing.T) {
+			// A fake primary answers every Hello with the foreign Welcome,
+			// then a complete snapshot and a record the client must never
+			// apply.
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			go func() {
+				for {
+					conn, err := ln.Accept()
+					if err != nil {
+						return
+					}
+					go func() {
+						defer conn.Close()
+						if _, _, err := readMsg(conn); err != nil {
+							return
+						}
+						_ = writeMsg(conn, MsgWelcome, tc.welcome)
+						_ = writeMsg(conn, MsgSnapBegin, encodeSnapBegin(SnapBegin{Gen: 4, Size: uint64(len(snap))}))
+						_ = writeMsg(conn, MsgSnapChunk, snap)
+						_ = writeMsg(conn, MsgSnapEnd, nil)
+						_ = writeMsg(conn, MsgRecord, rec)
+						_, _, _ = readMsg(conn) // hold the link until the client drops it
+					}()
+				}
+			}()
+			var applied atomic.Int32
+			cb := Callbacks{
+				Position:     func() (uint64, uint64) { return 0, 0 },
+				Snapshot:     func(uint64, []byte) error { applied.Add(1); return nil },
+				Record:       func(uint64, uint64, []byte) error { applied.Add(1); return nil },
+				Ack:          func() (uint64, uint64, uint64) { applied.Add(1); return 0, 0, 0 },
+				ObserveEpoch: func(uint64) error { applied.Add(1); return nil },
+			}
+			client := New(Config{Addr: ln.Addr().String(), BackoffMin: time.Millisecond, BackoffMax: 5 * time.Millisecond, Logger: quietLogger()}, cb)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			done := make(chan struct{})
+			go func() { defer close(done); client.Run(ctx) }()
+			waitFor(t, "two refused handshakes", func() bool {
+				st := client.Stats()
+				return st.Dials >= 2 && strings.Contains(st.LastError, "protocol version")
+			})
+			cancel()
+			<-done
+			if n := applied.Load(); n != 0 {
+				t.Fatalf("client ran %d callbacks past a refused welcome", n)
+			}
+			if st := client.Stats(); st.Snapshots != 0 || st.Records != 0 || st.AcksSent != 0 {
+				t.Fatalf("client applied a foreign stream: %+v", st)
+			}
+		})
+	}
+}
+
+// TestV2ClientNegotiatesDown: a follower can no longer pin an older
+// protocol version. Against a fenced primary every session is PRCREPL3,
+// and the epoch stamps of the Welcome, records and heartbeats all reach
+// the follower engine while the stream converges.
 func TestV2ClientNegotiatesDown(t *testing.T) {
 	s := newTestStore(t)
 	for i := 0; i < 5; i++ {
@@ -189,30 +351,40 @@ func TestV2ClientNegotiatesDown(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	p, addr := startPrimary(t, s)
+	p := NewPrimary(s, PrimaryConfig{HeartbeatEvery: 20 * time.Millisecond, Epoch: 5, Logger: quietLogger()})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() { _ = p.Serve(ln) }()
+	t.Cleanup(func() { _ = p.Close() })
+
 	col := &collector{}
 	cb := col.callbacks()
-	observed := make(chan uint64, 16)
+	var stamps, foreign atomic.Int32
 	cb.ObserveEpoch = func(epoch uint64) error {
-		observed <- epoch
+		if epoch != 5 {
+			foreign.Add(1)
+		}
+		stamps.Add(1)
 		return nil
 	}
-	client := New(Config{Addr: addr, Version: 2, Logger: quietLogger()}, cb)
+	client := New(Config{Addr: ln.Addr().String(), Logger: quietLogger()}, cb)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	done := make(chan struct{})
 	go func() { defer close(done); client.Run(ctx) }()
-	waitFor(t, "v2 catch-up", atLeast(col, 5))
-	select {
-	case e := <-observed:
-		t.Fatalf("v2 session observed an epoch stamp (%d)", e)
-	default:
-	}
-	if st := p.Stats(); st.Followers != 1 {
-		t.Fatalf("primary stats: %+v", st)
-	}
+	waitFor(t, "catch-up", atLeast(col, 5))
+	// Welcome plus five records, then heartbeats.
+	waitFor(t, "epoch stamps", func() bool { return stamps.Load() > 6 })
 	cancel()
 	<-done
+	if n := foreign.Load(); n != 0 {
+		t.Fatalf("%d stamps carried an epoch other than the primary's", n)
+	}
+	if st := p.Stats(); st.Followers != 1 || st.Handshakes == 0 {
+		t.Fatalf("primary stats: %+v", st)
+	}
 }
 
 // --- end-to-end transport over a real Store ---
@@ -348,7 +520,7 @@ func TestStreamBootstrapLiveAndRotation(t *testing.T) {
 
 	// A checkpoint rotation mid-stream: the caught-up follower crosses it
 	// without a new snapshot.
-	if err := s.Checkpoint(&wal.SnapshotData{DB: storage.NewDatabase("repl-test")}); err != nil {
+	if err := s.Checkpoint(&wal.SnapshotData{DB: storage.NewDatabase("repl-test")}, nil); err != nil {
 		t.Fatal(err)
 	}
 	for i := 8; i < 11; i++ {
@@ -453,7 +625,7 @@ func TestFallenBehindFollowerRebootstraps(t *testing.T) {
 
 	// Two rotations: the follower's generation file is gone.
 	for r := 0; r < 2; r++ {
-		if err := s.Checkpoint(&wal.SnapshotData{DB: storage.NewDatabase("repl-test")}); err != nil {
+		if err := s.Checkpoint(&wal.SnapshotData{DB: storage.NewDatabase("repl-test")}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -18,7 +18,7 @@ import (
 // ErrUnsyncedLog means a checkpoint rotation could not finalize the active
 // log (its writer is poisoned by an earlier fsync failure). Incremental
 // checkpoints are impossible in this state — recovery may need the log a
-// delta would let GC collect — but CheckpointFull still heals it by writing
+// delta would let GC collect — but Checkpoint still heals it by writing
 // the full snapshot before abandoning the unsyncable log.
 var ErrUnsyncedLog = errors.New("wal: cannot sync log for rotation")
 
@@ -159,8 +159,8 @@ func Open(dir string, cfg Config) (*Store, *Recovered, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	// Remove abandoned temp files from an interrupted snapshot, delta,
-	// manifest, or epoch write.
+	// Remove abandoned temp files from an interrupted snapshot, delta, or
+	// epoch write.
 	for _, pattern := range []string{".tmp-snap-*", ".tmp-epoch-*"} {
 		tmps, _ := filepath.Glob(filepath.Join(dir, pattern))
 		for _, t := range tmps {
@@ -289,10 +289,6 @@ func Open(dir string, cfg Config) (*Store, *Recovered, error) {
 	// tracking starts exactly here.
 	base.DB.EnableDirtyTracking()
 
-	if m := readManifest(dir); m != nil && !gensEqual(m, chain) {
-		lg.Printf("wal: manifest chain %v disagrees with derived chain %v; trusting the files", m, chain)
-	}
-
 	// Replay every log from the chain tip through the newest generation. A
 	// generation gap, or a torn tail anywhere but the final log, means
 	// records are missing from the middle of history — hard failure. (A
@@ -372,18 +368,6 @@ func gensAbove(gens []uint64, g uint64) []uint64 {
 	return gens[i:]
 }
 
-func gensEqual(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Initialize seeds an empty directory: it writes the generation-1 snapshot
 // of data and opens its WAL. Only valid after an Open that returned
 // Recovered.Data == nil.
@@ -410,9 +394,6 @@ func (s *Store) Initialize(data *SnapshotData) error {
 		// Everything after the seed snapshot belongs in the next
 		// checkpoint's delta.
 		data.DB.EnableDirtyTracking()
-	}
-	if err := writeManifest(s.dir, s.chain); err != nil {
-		s.log.Printf("wal: cannot write manifest: %v", err)
 	}
 	return nil
 }
@@ -576,9 +557,6 @@ func (s *Store) CompleteDelta(h *CheckpointHandle, d *DeltaData) error {
 	s.deltaBytes += n
 	s.checkpoints++
 	s.lastCkpt = time.Now()
-	if err := writeManifest(s.dir, s.chain); err != nil {
-		s.log.Printf("wal: cannot write manifest: %v", err)
-	}
 	s.gcChainLocked()
 	if s.metrics != nil {
 		s.metrics.Checkpoints.Inc()
@@ -620,9 +598,6 @@ func (s *Store) CompleteFull(h *CheckpointHandle, data *SnapshotData, indexRaw [
 	s.fullBytes += int64(len(raw))
 	s.checkpoints++
 	s.lastCkpt = time.Now()
-	if err := writeManifest(s.dir, s.chain); err != nil {
-		s.log.Printf("wal: cannot write manifest: %v", err)
-	}
 	s.gcChainLocked()
 	if s.metrics != nil {
 		s.metrics.Checkpoints.Inc()
@@ -691,16 +666,11 @@ func (s *Store) decodeChain(chain []uint64, obs RecoveryObserver) (*SnapshotData
 // WAL, and garbage-collects every older generation — the original
 // monolithic protocol, retained for the follower's rotation mirror, the
 // engine's shutdown checkpoint, and any caller that can afford the pause.
-// The caller must guarantee no Append runs concurrently. On failure the
-// previous chain stays fully intact (modulo the log rotation, which
-// recovery absorbs).
-func (s *Store) Checkpoint(data *SnapshotData) error {
-	return s.CheckpointFull(data, nil)
-}
-
-// CheckpointFull is Checkpoint with an optional persisted-index snapshot
-// written beside the new full snapshot.
-func (s *Store) CheckpointFull(data *SnapshotData, indexRaw []byte) error {
+// indexRaw, when non-nil, is persisted beside the snapshot as the
+// generation's inverted-index snapshot. The caller must guarantee no Append
+// runs concurrently. On failure the previous chain stays fully intact
+// (modulo the log rotation, which recovery absorbs).
+func (s *Store) Checkpoint(data *SnapshotData, indexRaw []byte) error {
 	h, err := s.BeginCheckpoint()
 	if err != nil {
 		if errors.Is(err, ErrUnsyncedLog) {
@@ -780,9 +750,6 @@ func (s *Store) checkpointSupersede(data *SnapshotData, indexRaw []byte) error {
 	s.fullBytes += int64(len(raw))
 	s.checkpoints++
 	s.lastCkpt = time.Now()
-	if err := writeManifest(s.dir, s.chain); err != nil {
-		s.log.Printf("wal: cannot write manifest: %v", err)
-	}
 	s.gcChainLocked()
 	if s.metrics != nil {
 		s.metrics.Checkpoints.Inc()
@@ -836,9 +803,6 @@ func (s *Store) InstallSnapshot(gen uint64, raw []byte) error {
 	s.chain = []uint64{gen}
 	s.lastCkpt = time.Now()
 	s.genEnds = nil
-	if err := writeManifest(s.dir, s.chain); err != nil {
-		s.log.Printf("wal: cannot write manifest: %v", err)
-	}
 	// Remove every other generation — including newer ones a stale-primary
 	// re-bootstrap would otherwise leave for recovery to prefer, and any
 	// delta or index files (the installed snapshot is a full base).

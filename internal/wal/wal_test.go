@@ -375,7 +375,7 @@ func TestStoreCheckpointRotatesAndGCs(t *testing.T) {
 		Values: []storage.Value{storage.Int(9), storage.String("Borges"), storage.Float(5), storage.Bool(true)}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Checkpoint(&SnapshotData{DB: db}); err != nil {
+	if err := s.Checkpoint(&SnapshotData{DB: db}, nil); err != nil {
 		t.Fatalf("Checkpoint: %v", err)
 	}
 	if g := s.Generation(); g != 2 {
@@ -674,7 +674,7 @@ func TestStoreCheckpointHealsPoisonedWriter(t *testing.T) {
 	if err := s.Append(Record{Op: OpMacro, Def: "DEFINE B AS y"}); err == nil {
 		t.Fatal("append to poisoned store succeeded")
 	}
-	if err := s.Checkpoint(&SnapshotData{DB: db, Macros: []string{"DEFINE A AS x"}}); err != nil {
+	if err := s.Checkpoint(&SnapshotData{DB: db, Macros: []string{"DEFINE A AS x"}}, nil); err != nil {
 		t.Fatalf("healing checkpoint: %v", err)
 	}
 	if err := s.Append(Record{Op: OpMacro, Def: "DEFINE C AS z"}); err != nil {

@@ -1,7 +1,9 @@
 package web
 
 import (
+	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -30,7 +32,6 @@ type replStatsJSON struct {
 			AckGen        uint64  `json:"ack_gen"`
 			AckLagRecords int64   `json:"ack_lag_records"`
 			SecsSinceAck  float64 `json:"secs_since_ack"`
-			SyncEligible  bool    `json:"sync_eligible"`
 		} `json:"links,omitempty"`
 	} `json:"primary,omitempty"`
 	Follower *struct {
@@ -267,7 +268,7 @@ func TestAPIReplDegraded(t *testing.T) {
 		out = getRepl(t, pts.URL)
 		p := out.Primary
 		if p != nil && !p.Degraded && len(p.Links) == 1 &&
-			p.Links[0].SyncEligible && p.Links[0].AckGen > 0 &&
+			p.Links[0].AckGen > 0 &&
 			p.Links[0].AckLagRecords == 0 && p.Links[0].SecsSinceAck >= 0 {
 			return
 		}
@@ -275,5 +276,75 @@ func TestAPIReplDegraded(t *testing.T) {
 			t.Fatalf("degraded flag never healed over /api/repl: %+v", p)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestReplAckLagMetricAgrees: precis_repl_ack_lag_records on /metrics is
+// the largest AckLagRecords among the primary's links. One follower acks
+// everything it applies; a second link never acks, so its lag is the whole
+// generation and the gauge must report that worst link, not the caught-up
+// one.
+func TestReplAckLagMetricAgrees(t *testing.T) {
+	db, g := exampleEngineParts(t)
+	primary, err := precis.Open(db, g, quietPersist(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = primary.Close() })
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := primary.StartReplication(ln, repl.PrimaryConfig{HeartbeatEvery: 20 * time.Millisecond, Logger: quietPersist("").Logger}); err != nil {
+		t.Fatal(err)
+	}
+	pts := httptest.NewServer(NewServer(primary).Handler())
+	t.Cleanup(pts.Close)
+
+	_, fg := exampleEngineParts(t)
+	follower, err := precis.OpenFollower(fg, precis.ReplicaConfig{Addr: ln.Addr().String(), Logger: quietPersist("").Logger})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = follower.Close() })
+	silent := repl.New(repl.Config{Addr: ln.Addr().String(), Logger: quietPersist("").Logger}, repl.Callbacks{
+		Position: func() (uint64, uint64) { return 0, 0 },
+		Snapshot: func(uint64, []byte) error { return nil },
+		Record:   func(uint64, uint64, []byte) error { return nil },
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() { defer close(done); silent.Run(ctx) }()
+	t.Cleanup(func() { cancel(); <-done })
+
+	for i := 0; i < 5; i++ {
+		if _, err := primary.Insert("GENRE", storage.Int(1), storage.String(fmt.Sprintf("lag-probe-%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var worst, best int64
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		worst, best = -1, -1
+		links := primary.ReplStats().Primary.Links
+		for _, l := range links {
+			if worst < 0 || l.AckLagRecords > worst {
+				worst = l.AckLagRecords
+			}
+			if best < 0 || l.AckLagRecords < best {
+				best = l.AckLagRecords
+			}
+		}
+		if len(links) == 2 && best == 0 && worst >= 5 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("links never settled (one caught up, one silent): %+v", links)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	_, metricsBody := get(t, pts.URL+"/metrics")
+	if got := parseExposition(t, metricsBody)[precis.MetricReplAckLagRecords]; got != float64(worst) {
+		t.Errorf("%s = %v, want the worst link's AckLagRecords %d", precis.MetricReplAckLagRecords, got, worst)
 	}
 }

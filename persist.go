@@ -440,7 +440,7 @@ func (e *Engine) Checkpoint() error {
 		// synthesized compaction would miss the untracked changes. Fall back
 		// to the monolithic full checkpoint under the lock.
 		defer e.mu.Unlock()
-		return p.store.Checkpoint(e.snapshotDataLocked())
+		return p.store.Checkpoint(e.snapshotDataLocked(), nil)
 	}
 	pauseStart := time.Now()
 	h, err := p.store.BeginCheckpoint()
@@ -450,7 +450,7 @@ func (e *Engine) Checkpoint() error {
 			// heal via the monolithic full checkpoint, which supersedes the
 			// unsyncable log before abandoning it.
 			defer e.mu.Unlock()
-			return p.store.Checkpoint(e.snapshotDataLocked())
+			return p.store.Checkpoint(e.snapshotDataLocked(), nil)
 		}
 		e.mu.Unlock()
 		return err
@@ -565,7 +565,7 @@ func (e *Engine) Close() error {
 	if e.index != nil {
 		indexRaw = e.index.EncodeSnapshot(p.store.Generation() + 1)
 	}
-	if err := p.store.CheckpointFull(e.snapshotDataLocked(), indexRaw); err != nil {
+	if err := p.store.Checkpoint(e.snapshotDataLocked(), indexRaw); err != nil {
 		firstErr = fmt.Errorf("precis: final checkpoint: %w", err)
 		// The checkpoint failed but the WAL still holds every mutation:
 		// force it to disk so nothing is lost even on this path.

@@ -580,7 +580,7 @@ func (r *replicaState) persistRecord(eng *Engine, gen, seq uint64, payload []byt
 		eng.mu.Lock()
 		data := eng.snapshotDataLocked()
 		eng.mu.Unlock()
-		if err := r.store.Checkpoint(data); err != nil {
+		if err := r.store.Checkpoint(data, nil); err != nil {
 			return fmt.Errorf("follower checkpoint at rotation to generation %d: %w", gen, err)
 		}
 	}
@@ -671,7 +671,7 @@ func (e *Engine) StartReplication(ln net.Listener, cfg repl.PrimaryConfig) (*rep
 		return nil, ErrNotPersistent
 	}
 	// The primary streams at the store's fencing epoch, and a deposition
-	// (a v3 follower proves a newer epoch exists) fences this engine so
+	// (a follower proves a newer epoch exists) fences this engine so
 	// no rolled-back write can ever become durable here.
 	cfg.Epoch = e.persist.store.Epoch()
 	userDeposed := cfg.OnDeposed

@@ -81,6 +81,12 @@
 # longer compiles or fatals on its first iteration fails CI here instead
 # of on the next perf investigation.
 #
+# The perfbench step vets and tests the repository benchmark. perfbench/
+# is its own Go module (it replaces precis with ../), so the root
+# `go test ./...` never builds it: without this step a change to a wal,
+# repl or engine signature could break the benchmark unseen. Its smoke
+# test drives every workload briefly, traced and untraced (~25 s).
+#
 # Every go test step carries an explicit -timeout so a deadlocked suite
 # (the usual failure mode of replication and chaos bugs) kills the step
 # instead of hanging the CI job until the outer scheduler reaps it.
@@ -104,7 +110,7 @@ go test -race -count=1 -timeout=10m -run 'TestCrashTorture' .
 
 echo "== incremental checkpoint torture -race (chain depths, every chain/index byte)"
 go test -race -count=1 -timeout=15m -run 'TestDeltaChain|TestPersistedIndex' .
-go test -race -count=1 -timeout=10m -run 'TestDelta|TestStore|TestManifest|TestApplyDelta|TestIndexSnapshot' ./internal/wal ./internal/invidx
+go test -race -count=1 -timeout=10m -run 'TestDelta|TestStore|TestApplyDelta|TestIndexSnapshot' ./internal/wal ./internal/invidx
 
 echo "== replication convergence -race (full strength: swept link cuts)"
 go test -race -count=1 -timeout=10m -run 'TestRepl|TestChaosReplicatedStorm' .
@@ -132,5 +138,8 @@ go test -timeout=10m -run=NONE -bench=. -benchtime=1x ./...
 
 echo "== sharded bench smoke (quick parity-checked runs)"
 go run ./cmd/precis-bench -quick -shards -rebuild
+
+echo "== perfbench module (vet + smoke of every workload)"
+(cd perfbench && export GOFLAGS=-mod=mod GOPROXY=off && go vet ./... && go test -count=1 -timeout=10m ./...)
 
 echo "CI OK"
